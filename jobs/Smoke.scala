@@ -11,7 +11,6 @@ object Smoke {
   def main(args: Array[String]): Unit = {
     val profile = args.headOption.map(ERSynth.byName).getOrElse(ERSynth.Citations)
     val cfg     = ExpConfig(profile, w = 300, maxSteps = 400)
-    val b       = Harness.base(profile)
     println(s"dataset=${profile.name} nA=${profile.nA} nB=${profile.nB} truth=${Harness.groundTruth(cfg).size}")
     println(s"rules: CDD=${Harness.rules(profile, cfg.eta, repro.core.UseCDD).size} " +
       s"DD=${Harness.rules(profile, cfg.eta, repro.core.UseDD).size} " +

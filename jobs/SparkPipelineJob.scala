@@ -16,7 +16,7 @@ object SparkPipelineJob {
   def main(args: Array[String]): Unit = {
     val profile = args.headOption.map(ERSynth.byName).getOrElse(ERSynth.Citations)
     val batchTs = args.lift(1).map(_.toInt).getOrElse(25)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("ter-ids-spark")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -1,6 +1,5 @@
 package repro.cdd
 
-import scala.collection.mutable
 import scala.util.Random
 import repro.impute.Repo
 

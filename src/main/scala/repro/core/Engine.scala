@@ -16,21 +16,37 @@ case object UseEdit extends ImputeKind // editing rules [12]
 case object UseCon  extends ImputeKind // constraint/window-based [43], no repository
 
 /** Per-run counters: pruning power (Fig. 4), break-up cost (Fig. 6), and
-  * wall-clock accounting (Figs. 5b, 7–10, 16–17).
+  * wall-clock accounting (Figs. 5b, 7–10, 16–17). The pair counters are
+  * written only by [[record]], so every decided pair lands in exactly one
+  * outcome and the outcomes sum to [[pairsTotal]].
   */
 final class RunStats {
-  var steps: Long                = 0
-  var pairsTotal: Long           = 0
-  var prunedKeyword: Long        = 0
-  var prunedSimUB: Long          = 0
-  var prunedProbUB: Long         = 0
-  var prunedInstancePair: Long   = 0
-  var refinedFull: Long          = 0
-  var matchedPairs: Long         = 0
-  var instancePairsChecked: Long = 0
-  var cddSelectNanos: Long       = 0
-  var imputeNanos: Long          = 0
-  var erNanos: Long              = 0
+  var steps: Long          = 0
+  var cddSelectNanos: Long = 0
+  var imputeNanos: Long    = 0
+  var erNanos: Long        = 0
+
+  private var nKeyword, nSim, nProb, nEarly, nFull, nMatched, nChecked: Long = 0
+
+  def record(o: Pruning.Outcome): Unit = o match {
+    case Pruning.KeywordPruned => nKeyword += 1
+    case Pruning.SimPruned     => nSim += 1
+    case Pruning.ProbPruned    => nProb += 1
+    case r: Pruning.Refined =>
+      nChecked += r.pairsChecked
+      if (r.matched) nMatched += 1
+      else if (r.earlyStopped) nEarly += 1
+      else nFull += 1
+  }
+
+  def prunedKeyword: Long        = nKeyword
+  def prunedSimUB: Long          = nSim
+  def prunedProbUB: Long         = nProb
+  def prunedInstancePair: Long   = nEarly
+  def refinedFull: Long          = nFull
+  def matchedPairs: Long         = nMatched
+  def instancePairsChecked: Long = nChecked
+  def pairsTotal: Long           = nKeyword + nSim + nProb + nEarly + nFull + nMatched
 
   def totalNanos: Long = cddSelectNanos + imputeNanos + erNanos
   def msPerStep: Double = if (steps == 0) 0 else totalNanos / 1e6 / steps
@@ -105,7 +121,6 @@ final class Engine(
     if (es.add(k)) {
       adjacency.getOrElseUpdate(a, mutable.Set.empty) += b
       adjacency.getOrElseUpdate(b, mutable.Set.empty) += a
-      stats.matchedPairs += 1
     }
     allEver += k
   }
@@ -141,7 +156,7 @@ final class Engine(
       case _ =>
         val repo = repoOpt.get
         val t0   = System.nanoTime()
-        val selected = r.missing.map(j => j -> selectRules(r, j)).toMap
+        val selected = r.missing.flatMap(j => selectRules(r, j))
         stats.cddSelectNanos += System.nanoTime() - t0
         // Index join: route each rule through the DR-index when its
         // constraints are selective there (constant constraints become
@@ -159,17 +174,10 @@ final class Engine(
               else scan(rule, rec)
           case _ => Imputer.allSamples(repo)
         }
-        val dists = r.attrs.indices.map { j =>
-          r.attrs(j) match {
-            case Some(v) => Vector((v, 1.0))
-            case None    =>
-              // The neighbor memo table belongs to the index infrastructure;
-              // naive baselines rescan the domain like the straightforward
-              // method (§2.3).
-              Imputer.valueDistribution(r, j, selected(j), repo, finder, cached = usePruning)
-          }
-        }.toVector
-        ImputedTuple(r.rid, r.sid, r.ts, dists, Imputer.assembleInstances(dists))
+        // The neighbor memo table belongs to the index infrastructure;
+        // naive baselines rescan the domain like the straightforward
+        // method (§2.3).
+        Imputer.impute(r, selected, repo, finder, cached = usePruning)
     }
   }
 
@@ -178,35 +186,22 @@ final class Engine(
     val k     = params.keywords
     val gamma = params.gamma
     val alpha = params.alpha
-    val qHasKw = q.hasAnyKeyword(k)
 
     def tupleLevel(c: TupleSketch): Unit = {
-      stats.pairsTotal += 1
-      if (!usePruning) {
-        val (pr, checked) = Pruning.prExact(q.t, c.t, k, gamma)
-        stats.instancePairsChecked += checked
-        stats.refinedFull += 1
-        if (pr > alpha) addMatch(q.rid, c.rid)
-        return
-      }
-      // Theorem 4.1 — topic keyword pruning.
-      if (!qHasKw && !c.hasAnyKeyword(k)) { stats.prunedKeyword += 1; return }
-      // Theorem 4.2 — similarity upper bound (size, then pivot).
-      if (Pruning.ubSimBySize(q, c) <= gamma || Pruning.ubSimByPivot(q, c) <= gamma) {
-        stats.prunedSimUB += 1; return
-      }
-      // Theorem 4.3 — Paley–Zygmund probability upper bound.
-      if (Pruning.probUpperBound(q, c, gamma) <= alpha) { stats.prunedProbUB += 1; return }
-      // Theorem 4.4 — instance-pair-level refinement with early stop.
-      val r = Pruning.refine(q.t, c.t, k, gamma, alpha)
-      stats.instancePairsChecked += r.pairsChecked
-      if (r.matched) addMatch(q.rid, c.rid)
-      else if (r.earlyStopped) stats.prunedInstancePair += 1
-      else stats.refinedFull += 1
+      val o =
+        if (usePruning) Pruning.decide(q, c, k, gamma, alpha)
+        else {
+          // The straightforward method: exact Eq. 2, no bound, no early stop.
+          val (pr, checked) = Pruning.prExact(q.t, c.t, k, gamma)
+          Pruning.Refined(pr > alpha, earlyStopped = false, checked, pr)
+        }
+      stats.record(o)
+      if (o.matched) addMatch(q.rid, c.rid)
     }
 
     grid match {
       case Some(g) if usePruning =>
+        val qHasKw = q.hasAnyKeyword(k)
         // Only tuples spanning several cells need dedup; point tuples
         // (complete on every attribute) live in exactly one cell.
         val visited = mutable.HashSet.empty[Long]
@@ -219,8 +214,8 @@ final class Engine(
           while (i < members.length) {
             val e = members(i)
             if (e.sk.sid != q.sid && (!e.multiCell || visited.add(e.sk.rid))) {
-              if (cellKwPruned) { stats.pairsTotal += 1; stats.prunedKeyword += 1 }
-              else if (cellSimPruned) { stats.pairsTotal += 1; stats.prunedSimUB += 1 }
+              if (cellKwPruned) stats.record(Pruning.KeywordPruned)
+              else if (cellSimPruned) stats.record(Pruning.SimPruned)
               else tupleLevel(e.sk)
             }
             i += 1
@@ -243,15 +238,7 @@ final class Engine(
     while (j < d) {
       val a = q.attrs(j)
       bySize += Pruning.ubSimSizeAttr(a.sizeMin, a.sizeMax, agg.sizeMin(j), agg.sizeMax(j))
-      val nPiv = math.min(a.distLo.size, agg.lo(j).length)
-      var gap  = 0.0
-      var p    = 0
-      while (p < nPiv) {
-        val g = Pruning.minDistGap(a.distLo(p), a.distHi(p), agg.lo(j)(p), agg.hi(j)(p))
-        if (g > gap) gap = g
-        p += 1
-      }
-      byPiv += 1.0 - gap
+      byPiv += Pruning.ubSimPivotAttr(a.distLo, a.distHi, agg.lo(j), agg.hi(j))
       j += 1
     }
     math.min(bySize, byPiv)

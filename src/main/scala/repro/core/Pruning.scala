@@ -32,24 +32,30 @@ object Pruning {
     else if (lo2 > hi1) lo2 - hi1
     else 0.0
 
-  /** Lemma 4.2: `ub_sim = d - Σ_k min_dist_k` via pivots. Every pivot shared
-    * by both sketches on an attribute yields a valid lower bound of the
-    * pairwise distance (triangle inequality), so we take the largest gap.
+  /** Lemma 4.2 per-attribute term `1 - min_dist` from per-pivot distance
+    * intervals. Every pivot shared by both sides yields a valid lower bound
+    * of the pairwise distance (triangle inequality), so we take the largest
+    * gap.
     */
+  def ubSimPivotAttr(aLo: Array[Double], aHi: Array[Double], bLo: Array[Double], bHi: Array[Double]): Double = {
+    val nPiv = math.min(aLo.length, bLo.length)
+    var gap  = 0.0
+    var p    = 0
+    while (p < nPiv) {
+      val g = minDistGap(aLo(p), aHi(p), bLo(p), bHi(p))
+      if (g > gap) gap = g
+      p += 1
+    }
+    1.0 - gap
+  }
+
+  /** Lemma 4.2: `ub_sim = d - Σ_k min_dist_k` via pivots, tuple vs tuple. */
   def ubSimByPivot(x: TupleSketch, y: TupleSketch): Double = {
     var s = 0.0
     var k = 0
     while (k < x.d) {
       val (a, b) = (x.attrs(k), y.attrs(k))
-      val nPiv   = math.min(a.distLo.size, b.distLo.size)
-      var gap    = 0.0
-      var p      = 0
-      while (p < nPiv) {
-        val g = minDistGap(a.distLo(p), a.distHi(p), b.distLo(p), b.distHi(p))
-        if (g > gap) gap = g
-        p += 1
-      }
-      s += 1.0 - gap
+      s += ubSimPivotAttr(a.distLo, a.distHi, b.distLo, b.distHi)
       k += 1
     }
     s
@@ -86,11 +92,33 @@ object Pruning {
       x.eDist(0), x.lbDist(0), x.ubDist(0),
       y.eDist(0), y.lbDist(0), y.ubDist(0))
 
+  /** How one candidate pair was decided. Every pair ends in exactly one
+    * outcome; only [[Refined]] can be a match.
+    */
+  sealed trait Outcome { def matched: Boolean = false }
+  /** Theorem 4.1: neither tuple can contain a query keyword. */
+  case object KeywordPruned extends Outcome
+  /** Theorem 4.2: the size or pivot similarity bound is at most γ. */
+  case object SimPruned extends Outcome
+  /** Theorem 4.3: the probability bound is at most α. */
+  case object ProbPruned extends Outcome
+
   /** Refinement outcome: whether the pair matches, whether Theorem 4.4 cut
     * the enumeration short (instance-pair-level prune / early accept), and
     * how many instance pairs were checked.
     */
-  final case class Refined(matched: Boolean, earlyStopped: Boolean, pairsChecked: Int, pr: Double)
+  final case class Refined(override val matched: Boolean, earlyStopped: Boolean, pairsChecked: Int, pr: Double)
+      extends Outcome
+
+  /** The tuple-level cascade of Algorithm 2 for candidate `c` of arrival
+    * `q`: Theorems 4.1, 4.2 (size, then pivot) and 4.3 prune in that order;
+    * a surviving pair is refined under Theorem 4.4.
+    */
+  def decide(q: TupleSketch, c: TupleSketch, k: Set[String], gamma: Double, alpha: Double): Outcome =
+    if (!q.hasAnyKeyword(k) && !c.hasAnyKeyword(k)) KeywordPruned
+    else if (ubSimBySize(q, c) <= gamma || ubSimByPivot(q, c) <= gamma) SimPruned
+    else if (probUpperBound(q, c, gamma) <= alpha) ProbPruned
+    else refine(q.t, c.t, k, gamma, alpha)
 
   /** Exact TER-iDS probability check (Eq. 2) with Theorem 4.4 early
     * termination: stop as soon as the accumulated probability exceeds α

@@ -2,10 +2,8 @@ package repro.eval
 
 import scala.collection.mutable
 import repro.cdd.RuleMiner
-import repro.core._
 import repro.data.ERSynth
 import repro.data.ERSynth.Profile
-import repro.impute.Repo
 import repro.pivot.PivotSelector
 
 /** Builders for every evaluation table/figure of the paper (§6 + App. C),

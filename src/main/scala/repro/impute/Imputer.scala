@@ -1,6 +1,5 @@
 package repro.impute
 
-import scala.collection.mutable
 import repro.cdd.Rule
 import repro.core.{ImputedTuple, Instance, Record, Text}
 
@@ -107,12 +106,15 @@ object Imputer {
       .map { case (vs, p) => Instance(vs, p) }
   }
 
-  /** Full imputation of a record using the given rules and sample finder. */
-  def impute(r: Record, rules: Seq[Rule], repo: Repo, finder: SampleFinder): ImputedTuple = {
+  /** Full imputation of a record: each missing attribute draws on the
+    * applicable rules among `rules` that impute it ([[valueDistribution]]).
+    */
+  def impute(r: Record, rules: Seq[Rule], repo: Repo, finder: SampleFinder,
+             cached: Boolean = true): ImputedTuple = {
     val dists = r.attrs.indices.map { j =>
       r.attrs(j) match {
         case Some(v) => Vector((v, 1.0))
-        case None    => valueDistribution(r, j, rules, repo, finder)
+        case None    => valueDistribution(r, j, rules, repo, finder, cached)
       }
     }.toVector
     ImputedTuple(r.rid, r.sid, r.ts, dists, assembleInstances(dists))

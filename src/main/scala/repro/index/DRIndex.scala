@@ -10,9 +10,9 @@ import repro.impute.Repo
   * the node, (2) per-attribute distance intervals to every pivot (main +
   * auxiliary), and (3) per-attribute token-set size intervals.
   *
-  * `finder(rule, r)` returns candidate sample indices for imputation using
-  * triangle-inequality node pruning; candidates may contain false positives
-  * (the imputer re-verifies) but never miss a satisfying sample.
+  * `finderFor(r)` returns a finder of candidate sample indices for imputing
+  * `r`, using triangle-inequality node pruning; candidates may contain false
+  * positives (the imputer re-verifies) but never miss a satisfying sample.
   */
 final class DRIndex(repo: Repo, pivots: Pivots, vocab: Set[String]) {
   import DRIndex._
@@ -42,15 +42,10 @@ final class DRIndex(repo: Repo, pivots: Pivots, vocab: Set[String]) {
   /** Pivot distances of constant constraints are static per rule — memoize. */
   private val eqCache = new java.util.concurrent.ConcurrentHashMap[(Int, String), Array[Double]]()
 
-  /** Imputation sample finder: prune nodes that cannot contain any sample
-    * satisfying the rule's determinant constraints w.r.t. record r. Use
-    * [[finderFor]] when imputing one record against many rules — it
-    * precomputes the record's pivot distances once.
-    */
-  def finder: repro.impute.Imputer.SampleFinder = (rule: Rule, r: Record) => finderFor(r)(rule, r)
-
-  /** A finder specialized to one record (per-attribute pivot distances
-    * computed once, shared by every rule application).
+  /** Imputation sample finder for record `r0`: prune nodes that cannot
+    * contain any sample satisfying a rule's determinant constraints w.r.t.
+    * the record (per-attribute pivot distances computed once, shared by
+    * every rule application).
     */
   def finderFor(r0: Record): repro.impute.Imputer.SampleFinder = {
     val recDists: Array[Array[Double]] = Array.tabulate(d) { x =>

@@ -2,7 +2,7 @@ package repro.spark
 
 import scala.collection.mutable
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions.{abs => sqlAbs, col}
+import org.apache.spark.sql.functions.{abs => sqlAbs}
 import repro.cdd.Rule
 import repro.core._
 import repro.impute.{Imputer, Repo}
@@ -57,23 +57,10 @@ object SparkTER {
       r.rid, r.sid, r.ts,
       sk.hasAnyKeyword(keywords),
       sk.kw.toSeq.sorted,
-      sk.attrs.map(a => AttrAggRow(a.sizeMin, a.sizeMax, a.distLo, a.distHi, a.distE)),
+      sk.attrs.map(a =>
+        AttrAggRow(a.sizeMin, a.sizeMax, a.distLo.toIndexedSeq, a.distHi.toIndexedSeq, a.distE.toIndexedSeq)),
       imputed.instances.map(i => InstanceRow(i.attrs, i.p)),
     )
-  }
-
-  /** Full tuple-pair evaluation: Theorems 4.1–4.4 then exact refinement —
-    * identical to `Engine`'s tuple-level path, so prunes are sound and the
-    * match decision is bit-identical.
-    */
-  def pairMatches(q: SketchRow, c: SketchRow, keywords: Set[String],
-                  gamma: Double, alpha: Double): Boolean = {
-    if (!q.hasKw && !c.hasKw) return false
-    val qs = q.toSketch
-    val cs = c.toSketch
-    if (Pruning.ubSimBySize(qs, cs) <= gamma || Pruning.ubSimByPivot(qs, cs) <= gamma) return false
-    if (Pruning.probUpperBound(qs, cs, gamma) <= alpha) return false
-    Pruning.refine(qs.t, cs.t, keywords, gamma, alpha).matched
   }
 }
 
@@ -85,7 +72,7 @@ object SparkTER {
   *    sliding-window state Dataset (different stream, both sides inside the
   *    other's count-based window, each pair evaluated once at the later
   *    arrival), with the keyword filter pushed down as a column predicate
-  *    and Theorems 4.2–4.4 as typed filters;
+  *    and the engine's pair decision, `Pruning.decide`, as a typed filter;
   *  - **state**: per-stream w most recent tuples, maintained across batches.
   *
   * The driver keeps the (small) window state materialized between batches —
@@ -134,7 +121,9 @@ final class SparkTER(
         "inner",
       )
     val matched = joined
-      .filter { qc: (SketchRow, SketchRow) => SparkTER.pairMatches(qc._1, qc._2, kwL, gammaL, alphaL) }
+      .filter { qc: (SketchRow, SketchRow) =>
+        Pruning.decide(qc._1.toSketch, qc._2.toSketch, kwL, gammaL, alphaL).matched
+      }
       .map(qc => (math.min(qc._1.rid, qc._2.rid), math.max(qc._1.rid, qc._2.rid)))
       .collect()
       .toSet

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import repro.core._
 import repro.data.ERSynth
 import repro.eval._
-import repro.spark.{RecordRow, SparkTER}
+import repro.spark.SparkTER
 
 /** DuckDB result-equality checks: the complete-data TER join (keyword
   * predicate + summed Jaccard similarity over the sliding window) is

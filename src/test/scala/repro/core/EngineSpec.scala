@@ -41,13 +41,18 @@ class EngineSpec extends AnyFunSuite {
   }
 
   test("pruning counters partition the candidate pairs") {
-    val s = results(TERiDS).stats
-    val accounted = s.prunedKeyword + s.prunedSimUB + s.prunedProbUB +
-      s.prunedInstancePair + s.refinedFull + s.matchedPairs
-    // matched pairs found via early-accept are counted in matchedPairs;
-    // everything else must be one of the four prunes or a full refinement.
-    assert(accounted >= s.pairsTotal, s"accounted=$accounted total=${s.pairsTotal}")
-    assert(s.pairsTotal > 0)
+    // Every cross-stream pair of timestamps less than w apart is decided
+    // exactly once, by every method.
+    val n        = cfg.maxSteps
+    val inWindow = (0 until n).map(i => (0 until n).count(j => math.abs(i - j) < cfg.w)).sum.toLong
+    Method.all.foreach { m =>
+      val s = results(m).stats
+      val outcomes = s.prunedKeyword + s.prunedSimUB + s.prunedProbUB +
+        s.prunedInstancePair + s.refinedFull + s.matchedPairs
+      assert(s.pairsTotal == inWindow, s"$m total=${s.pairsTotal} expected=$inWindow")
+      assert(outcomes == s.pairsTotal, s"$m outcomes=$outcomes total=${s.pairsTotal}")
+      assert(s.matchedPairs == results(m).found.size, s"$m")
+    }
   }
 
   test("naive engines never report pruning") {

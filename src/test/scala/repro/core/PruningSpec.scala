@@ -137,6 +137,25 @@ class PruningSpec extends AnyFunSuite {
     assert(!r.matched && !r.earlyStopped && r.pairsChecked == 1)
   }
 
+  test("decide matches exactly when prExact exceeds alpha, and reaches every outcome") {
+    val rnd   = new Random(17)
+    val stats = new RunStats
+    (1 to 150).foreach { i =>
+      val (x, sx) = randomTuple(rnd, 2 * i)
+      val (y, sy) = randomTuple(rnd, 2 * i + 1)
+      for (gamma <- Seq(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 2.9); alpha <- Seq(0.0, 0.1, 0.3, 0.5, 0.8, 0.99)) {
+        val o       = Pruning.decide(sx, sy, vocab, gamma, alpha)
+        val (pr, _) = Pruning.prExact(x, y, vocab, gamma)
+        assert(o.matched == (pr > alpha), s"outcome=$o pr=$pr gamma=$gamma alpha=$alpha")
+        stats.record(o)
+      }
+    }
+    Seq("keyword" -> stats.prunedKeyword, "sim" -> stats.prunedSimUB, "prob" -> stats.prunedProbUB,
+      "early" -> stats.prunedInstancePair, "full" -> stats.refinedFull, "matched" -> stats.matchedPairs)
+      .foreach { case (name, n) => assert(n > 0, s"outcome $name never reached") }
+    assert(stats.pairsTotal == 150L * 7 * 6)
+  }
+
   test("Theorem 4.1 logic: zero probability without keywords") {
     val x = ImputedTuple(0, 0, 0, Vector(Vector(("a b", 1.0))), Vector(Instance(Vector("a b"), 1.0)))
     val y = ImputedTuple(1, 1, 0, Vector(Vector(("a b", 1.0))), Vector(Instance(Vector("a b"), 1.0)))

@@ -1,7 +1,6 @@
 package repro.impute
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Text
 
 class RepoSpec extends AnyFunSuite {
 

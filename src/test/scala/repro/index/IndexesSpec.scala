@@ -1,9 +1,8 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.util.Random
-import repro.cdd.{Rule, RuleMiner}
-import repro.core.{Pivots, Record}
+import repro.cdd.RuleMiner
+import repro.core.Record
 import repro.data.ERSynth
 import repro.impute.{Imputer, Repo}
 import repro.pivot.PivotSelector

@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.core._
 import repro.data.ERSynth
 import repro.eval._
+import repro.impute.Imputer
 
 /** The Spark dataflow pipeline must produce exactly the same entity set as
   * the single-node engine — imputation shares the core code, the window
@@ -76,22 +77,24 @@ class SparkTERSpec extends SparkSpec {
     assert(rr.toRecord == r)
   }
 
-  test("pairMatches agrees with the engine's tuple-level decision path") {
+  test("decide on round-tripped sketch rows agrees with the engine's tuple-level decision path") {
     val rules  = Harness.rules(cfg.profile, cfg.eta, UseCDD)
     val repo   = Harness.repo(cfg.profile, cfg.eta)
     val pivots = Harness.pivots(cfg.profile, cfg.eta)
     val kws    = ERSynth.defaultKeywords(b)
     val (sa, sb) = ERSynth.mask(b, 0.4, 1)
-    val rows = (sa.take(40) ++ sb.take(40)).map(r =>
-      SparkTER.sketchRowOf(RecordRow.of(r), 4, rules, repo, pivots, b.topicVocab, kws))
-    val byStream = rows.groupBy(_.sid)
-    for (qa <- byStream(0).take(20); cb <- byStream(1).take(20)) {
-      val expected = {
-        val q = qa.toSketch; val c = cb.toSketch
-        Pruning.refine(q.t, c.t, kws, cfg.gamma, cfg.alpha).matched &&
-          (q.hasAnyKeyword(kws) || c.hasAnyKeyword(kws))
-      }
-      assert(SparkTER.pairMatches(qa, cb, kws, cfg.gamma, cfg.alpha) == expected)
+    // (the engine's sketch, the Spark row) per record.
+    val both = (sa.take(40) ++ sb.take(40)).map { r =>
+      val t = if (r.isComplete) Imputer.imputeComplete(r) else Imputer.impute(r, rules, repo, Imputer.allSamples(repo))
+      (TupleSketch.of(t, pivots, b.topicVocab),
+        SparkTER.sketchRowOf(RecordRow.of(r), 4, rules, repo, pivots, b.topicVocab, kws))
     }
+    val byStream = both.groupBy(_._1.sid)
+    val outcomes = for ((qs, qa) <- byStream(0).take(20); (cs, cb) <- byStream(1).take(20)) yield {
+      val o = Pruning.decide(qa.toSketch, cb.toSketch, kws, cfg.gamma, cfg.alpha)
+      assert(o == Pruning.decide(qs, cs, kws, cfg.gamma, cfg.alpha))
+      o
+    }
+    assert(outcomes.exists(_.isInstanceOf[Pruning.Refined]))
   }
 }

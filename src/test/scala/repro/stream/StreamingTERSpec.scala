@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core._
 import repro.data.ERSynth
 import repro.eval._
-import repro.spark.{RecordRow, SparkTER}
+import repro.spark.RecordRow
 
 /** Structured Streaming front-end: feeding arrivals through MemoryStream +
   * foreachBatch must yield exactly the micro-batch pipeline's (and hence
