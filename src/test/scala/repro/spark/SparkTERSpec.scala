@@ -77,7 +77,9 @@ class SparkTERSpec extends SparkSpec {
     assert(rr.toRecord == r)
   }
 
-  test("decide on round-tripped sketch rows agrees with the engine's tuple-level decision path") {
+  // SparkTER once had its own pair decision, pairMatches; Spark now calls
+  // Pruning.decide on SketchRows, so this checks decide on round-tripped rows.
+  test("pairMatches agrees with the engine's tuple-level decision path") {
     val rules  = Harness.rules(cfg.profile, cfg.eta, UseCDD)
     val repo   = Harness.repo(cfg.profile, cfg.eta)
     val pivots = Harness.pivots(cfg.profile, cfg.eta)
