@@ -34,9 +34,15 @@ final case class Rule(dep: Int, det: Map[Int, Constraint], depLo: Double, depHi:
     * constraints? `sTokens(x)` are the sample's token sets per attribute.
     */
   def satisfiedBy(rTokens: Int => Set[String], sTokens: Int => Set[String]): Boolean =
+    satisfiedBy(rTokens, sTokens, x => Text.jdist(rTokens(x), sTokens(x)))
+
+  /** As above, with `dist(x)` supplying `dist(r[A_x], s[A_x])` for the
+    * distance constraints (the imputer passes a per-arrival table lookup).
+    */
+  def satisfiedBy(rTokens: Int => Set[String], sTokens: Int => Set[String], dist: Int => Double): Boolean =
     det.forall {
       case (x, DistRange(lo, hi)) =>
-        val dd = Text.jdist(rTokens(x), sTokens(x))
+        val dd = dist(x)
         dd >= lo - 1e-12 && dd <= hi + 1e-12
       case (x, v: ValueEq) =>
         rTokens(x) == v.tokens && sTokens(x) == v.tokens

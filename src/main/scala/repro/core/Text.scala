@@ -3,9 +3,11 @@ package repro.core
 /** Tokenization and Jaccard similarity/distance over token sets (Eq. 1).
   *
   * Attributes are textual; a token is a maximal run of lowercase
-  * alphanumerics. `J(∅, ∅) = 1` (two empty attribute values are identical),
-  * which keeps `dist` a proper metric on the token-set space so the
-  * triangle-inequality pruning (Lemmas 4.2/4.3) stays sound.
+  * alphanumerics. Lowercasing uses `Locale.ROOT`, so tokens do not depend on
+  * the JVM's default locale (under `tr`, `"I"` would lowercase to a dotless
+  * `ı` and split the token). `J(∅, ∅) = 1` (two empty attribute values are
+  * identical), which keeps `dist` a proper metric on the token-set space so
+  * the triangle-inequality pruning (Lemmas 4.2/4.3) stays sound.
   */
 object Text {
 
@@ -16,7 +18,7 @@ object Text {
       val b   = Set.newBuilder[String]
       val sb  = new StringBuilder
       var i   = 0
-      val low = s.toLowerCase
+      val low = s.toLowerCase(java.util.Locale.ROOT)
       while (i <= low.length) {
         val c = if (i < low.length) low.charAt(i) else ' '
         if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) sb.append(c)

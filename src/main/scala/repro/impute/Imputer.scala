@@ -13,7 +13,12 @@ import repro.core.{ImputedTuple, Instance, Record, Text}
   * are summed over all rules (Eq. 4) and normalized into existence
   * probabilities.
   *
-  * Deviation (documented in DESIGN.md §3.5): the per-attribute distribution
+  * Each imputed arrival keeps one `DetDistances` table, shared by
+  * its missing attributes: a determinant distance `dist(r[A_x], s[A_x])`
+  * depends only on the sample's domain value, so it is computed once per
+  * (attribute, domain value) instead of once per (rule, sample).
+  *
+  * Deviation (documented in DESIGN.md §3, item 5): the per-attribute distribution
   * keeps the top [[Imputer.MaxValuesPerAttr]] values and the instance cross
   * product keeps the top [[Imputer.MaxInstances]] instances, both in
   * deterministic (-p, value) order, so `Σ p ≤ 1` (Def. 4) holds.
@@ -36,25 +41,62 @@ object Imputer {
     j => ts(j)
   }
 
+  /** Determinant distances of one arrival: `apply(x, si)` is
+    * `dist(r[A_x], s_si[A_x])`, looked up by the sample's domain index and
+    * computed from `domTokens` the first time that value is checked (NaN
+    * marks "not computed"; `Text.jdist` never returns NaN). The domain
+    * value's token set is the sample's, so every distance is the one the
+    * per-sample Jaccard would give, bit for bit. Lives as long as the
+    * arrival's imputation.
+    */
+  private final class DetDistances(rTok: Int => Set[String], repo: Repo) {
+    private val byAttr = new Array[Array[Double]](repo.d)
+
+    def apply(x: Int, si: Int): Double = {
+      var t = byAttr(x)
+      if (t == null) {
+        t = Array.fill(repo.doms(x).size)(Double.NaN)
+        byAttr(x) = t
+      }
+      val di = repo.rowDom(x)(si)
+      var dd = t(di)
+      if (java.lang.Double.isNaN(dd)) {
+        dd = Text.jdist(rTok(x), repo.domTokens(x)(di))
+        t(di) = dd
+      }
+      dd
+    }
+  }
+
   /** Imputed value distribution for missing attribute j of r (Eq. 4).
-    * `cached = false` recomputes every `cand(s[A_j])` domain scan — the
-    * straightforward method's behavior (the memo table is part of our
-    * index/synopsis infrastructure, withheld from the naive baselines).
+    * `cached = false` recomputes every `cand(s[A_j])` domain scan and every
+    * determinant Jaccard — the straightforward method's behavior (the memo
+    * table and the distance table are part of our index/synopsis
+    * infrastructure, withheld from the naive baselines).
     */
   def valueDistribution(r: Record, j: Int, rules: Seq[Rule], repo: Repo,
                         finder: SampleFinder, cached: Boolean = true): Vector[(String, Double)] = {
     val rTok = recordTokens(r)
+    distribution(r, j, rules, repo, finder, rTok, if (cached) new DetDistances(rTok, repo) else null)
+  }
+
+  /** Eq. 4 for attribute j; `table == null` selects the uncached path. */
+  private def distribution(r: Record, j: Int, rules: Seq[Rule], repo: Repo, finder: SampleFinder,
+                           rTok: Int => Set[String], table: DetDistances): Vector[(String, Double)] = {
     val freq = new Array[Long](repo.doms(j).size) // Eq. 4 multiset over dom(A_j)
     rules.iterator.filter(rule => rule.dep == j && rule.applicableTo(r)).foreach { rule =>
       finder(rule, r).foreach { si =>
         val sTok = repo.tokenRows(si)
-        if (rule.satisfiedBy(rTok, x => sTok(x))) {
+        val ok =
+          if (table == null) rule.satisfiedBy(rTok, sTok)
+          else rule.satisfiedBy(rTok, sTok, x => table(x, si))
+        if (ok) {
           if (rule.depHi <= 1e-12) {
             // Editing-rule semantics: copy the sample's dependent value.
-            freq(repo.domIndex(j)(repo.rows(si)(j))) += 1L
+            freq(repo.rowDom(j)(si)) += 1L
           } else {
             val cand =
-              if (cached) repo.candidates(j, repo.rows(si)(j), rule.depLo, rule.depHi)
+              if (table != null) repo.candidates(j, repo.rows(si)(j), rule.depLo, rule.depHi)
               else repo.candidatesUncached(j, repo.rows(si)(j), rule.depLo, rule.depHi)
             var c = 0
             while (c < cand.length) { freq(cand(c)) += 1L; c += 1 }
@@ -111,10 +153,12 @@ object Imputer {
     */
   def impute(r: Record, rules: Seq[Rule], repo: Repo, finder: SampleFinder,
              cached: Boolean = true): ImputedTuple = {
+    val rTok  = recordTokens(r)
+    val table = if (cached) new DetDistances(rTok, repo) else null // shared by every missing attribute
     val dists = r.attrs.indices.map { j =>
       r.attrs(j) match {
         case Some(v) => Vector((v, 1.0))
-        case None    => valueDistribution(r, j, rules, repo, finder, cached)
+        case None    => distribution(r, j, rules, repo, finder, rTok, table)
       }
     }.toVector
     ImputedTuple(r.rid, r.sid, r.ts, dists, assembleInstances(dists))

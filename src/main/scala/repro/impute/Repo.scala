@@ -28,6 +28,9 @@ final class Repo(val rows: IndexedSeq[Vector[String]]) extends Serializable {
     */
   val domIndex: Vector[Map[String, Int]] = doms.map(_.zipWithIndex.toMap)
 
+  /** Row → domain index per attribute: `doms(x)(rowDom(x)(i)) == rows(i)(x)`. */
+  val rowDom: Vector[Array[Int]] = (0 until d).map(x => rows.iterator.map(r => domIndex(x)(r(x))).toArray).toVector
+
   private val neighborCache = new ConcurrentHashMap[(Int, String, Double, Double), Array[Int]]()
 
   /** `cand(value)` for attribute j under dependent interval [lo, hi], as

@@ -51,12 +51,7 @@ final class CDDIndex(rules: Seq[Rule], pivots: Pivots, d: Int) {
     */
   def select(r: Record, j: Int): Vector[Rule] = {
     val rTok = r.attrs.map(_.map(Text.tokens).getOrElse(Set.empty[String]))
-    val pt   = Array.tabulate(d) { x =>
-      r.attrs(x) match {
-        case Some(v) => Text.jdist(Text.tokens(v), pivots.mainTokens(x))
-        case None    => -1.0
-      }
-    }
+    val pt   = Array.tabulate(d)(x => if (r.attrs(x).isDefined) Text.jdist(rTok(x), pivots.mainTokens(x)) else -1.0)
     var leaves = 0
     val out    = Vector.newBuilder[Rule]
     groups.getOrElse(j, Vector.empty).foreach { case (_, tree) =>

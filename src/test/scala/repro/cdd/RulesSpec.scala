@@ -53,6 +53,18 @@ class RulesSpec extends AnyFunSuite {
     assert(!rule.satisfiedBy(tok("a b", "w", "p"), tok("a b", "v", "q")))
   }
 
+  test("satisfiedBy: a supplied distance function is what DistRange compares") {
+    val rule = Rule(2, Map(0 -> DistRange(0.0, 0.4), 1 -> ValueEq("x")), 0, 0.3)
+    val asked = scala.collection.mutable.ArrayBuffer.empty[Int]
+    // Token distance on attribute 0 is 1, but the supplied 0.25 is in range.
+    assert(rule.satisfiedBy(tok("a b", "x", "y"), tok("c d", "x", "y"), x => { asked += x; 0.25 }))
+    assert(asked.toList == List(0)) // only the distance constraint asks, for its own attribute
+    // Token distance 0.25 would pass; the supplied 1.0 does not.
+    assert(!rule.satisfiedBy(tok("a b c", "x", "y"), tok("a b c d", "x", "y"), _ => 1.0))
+    // Constant constraints still compare token sets.
+    assert(!rule.satisfiedBy(tok("a b", "x", "y"), tok("a b", "z", "y"), _ => 0.0))
+  }
+
   test("detAttrs lists the determinant set") {
     val rule = Rule(3, Map(0 -> DistRange(0, 0.5), 2 -> ValueEq("v")), 0, 0.3)
     assert(rule.detAttrs == Set(0, 2))

@@ -8,6 +8,13 @@ class TextSpec extends AnyFunSuite {
   test("tokens: lowercases and splits on non-alphanumerics") {
     assert(Text.tokens("Hello, World! 42") == Set("hello", "world", "42"))
   }
+  test("tokens: independent of the default locale") {
+    val saved = java.util.Locale.getDefault
+    try {
+      java.util.Locale.setDefault(java.util.Locale.forLanguageTag("tr"))
+      assert(Text.tokens("TITLE") == Set("title")) // not {t, tle} via a dotless ı
+    } finally java.util.Locale.setDefault(saved)
+  }
   test("tokens: null and empty yield empty set") {
     assert(Text.tokens(null) == Set.empty)
     assert(Text.tokens("") == Set.empty)

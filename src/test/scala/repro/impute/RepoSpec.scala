@@ -27,6 +27,10 @@ class RepoSpec extends AnyFunSuite {
     }
   }
 
+  test("rowDom maps every cell to its domain index") {
+    for (x <- 0 until repo.d; i <- rows.indices) assert(repo.doms(x)(repo.rowDom(x)(i)) == rows(i)(x))
+  }
+
   test("tokenRows tokenize every cell") {
     assert(repo.tokenRows(1)(0) == Set("a", "b", "c"))
   }

@@ -80,6 +80,28 @@ class IndexesSpec extends AnyFunSuite {
     }
   }
 
+  test("the per-arrival distance table changes no distribution (scan and DR-index finders)") {
+    assert(rules.exists(_.det.valuesIterator.exists(_.isInstanceOf[repro.cdd.DistRange])))
+    var imputed = 0
+    (1 to 3).foreach { m =>
+      val recs = ERSynth.mask(base, xi = 0.8, m = m, seed = 40L + m)._1.filter(_.missing.nonEmpty).take(40)
+      recs.foreach { r =>
+        Seq(Imputer.allSamples(repo), drIdx.finderFor(r)).foreach { finder =>
+          val table = Imputer.impute(r, rules, repo, finder, cached = true)
+          val naive = Imputer.impute(r, rules, repo, finder, cached = false)
+          assert(table.attrDists == naive.attrDists, s"rid=${r.rid} m=$m")
+          assert(table.instances == naive.instances, s"rid=${r.rid} m=$m")
+          r.missing.foreach { j =>
+            assert(Imputer.valueDistribution(r, j, rules, repo, finder, cached = true) == table.attrDists(j))
+            assert(Imputer.valueDistribution(r, j, rules, repo, finder, cached = false) == table.attrDists(j))
+            if (table.attrDists(j).head._1 != Imputer.missSentinel(r.rid, j)) imputed += 1
+          }
+        }
+      }
+    }
+    assert(imputed > 0, "no attribute was imputed: the comparison would be vacuous")
+  }
+
   test("DR-index prunes at least some leaves for constant-constrained rules") {
     val constRules = rules.filter(_.det.values.exists(_.isInstanceOf[repro.cdd.ValueEq]))
     assert(constRules.nonEmpty)
